@@ -3,6 +3,7 @@ package repro.baselines
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import scala.collection.mutable
+import repro.graph.{GraphOps, UnionFind}
 import repro.partition.ConnectedComponents
 
 /** Graph-input DBSCAN, as adapted in §6.3 of the paper:
@@ -39,12 +40,10 @@ object GraphDBSCAN {
     // non-core vertices with a core neighbor of weight ≥ ε: join the most
     // similar such neighbor's cluster (ties → smaller neighbor id)
     val nonCore = vertices.join(core, Seq("id"), "left_anti")
-    val toCore = heavy
+    val toCore = GraphOps.bestEdge(heavy
       .join(nonCore.select(col("id").as("src")), Seq("src"), "left_semi")
-      .join(core.select(col("id").as("dst")), Seq("dst"), "left_semi")
-      .groupBy(col("src").as("id"))
-      .agg(max(struct(col("w"), (-col("dst")).as("nd"), col("dst"))).as("m"))
-      .select(col("id"), col("m.dst").as("via"))
+      .join(core.select(col("id").as("dst")), Seq("dst"), "left_semi"))
+      .select(col("id"), col("to").as("via"))
       .join(comp.select(col("id").as("via"), col("root")), "via")
       .select(col("id"), col("root").as("cluster"))
 

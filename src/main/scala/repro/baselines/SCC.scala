@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import scala.collection.mutable
 import repro.core.LocalGraph
-import repro.graph.GraphOps
+import repro.graph.{GraphOps, UnionFind}
 import repro.partition.Functional
 
 /** SCC (Monath et al. [40]): the state-of-the-art distributed hierarchical
@@ -70,10 +70,10 @@ object SCC {
 
   def runDistributed(spark: SparkSession, edges0: DataFrame, rounds: Int,
                      t: Double): DistResult = {
-    var edges = edges0.select("src", "dst", "w").localCheckpoint()
-    var sizes = edges.select(col("src").as("id")).distinct()
-      .select(col("id"), lit(1L).as("size")).localCheckpoint()
-    var mapping = sizes.select(col("id"), col("id").as("cur")).localCheckpoint()
+    var edges = GraphOps.checkpoint(edges0.select("src", "dst", "w"))
+    var sizes = GraphOps.checkpoint(edges.select(col("src").as("id")).distinct()
+      .select(col("id"), lit(1L).as("size")))
+    var mapping = GraphOps.checkpoint(sizes.select(col("id"), col("id").as("cur")))
 
     val wmax0 = math.max(
       edges.agg(max("w")).collect()(0).getDouble(0), t)
@@ -81,41 +81,20 @@ object SCC {
     val levels = Vector.newBuilder[DataFrame]
 
     for (tau <- taus) {
-      val qual = edges.filter(col("w") >= tau)
-      val best = qual.groupBy(col("src").as("id"))
-        .agg(max(struct(col("w"), (-col("dst")).as("nd"), col("dst"))).as("m"))
-        .select(col("id"), col("m.dst").as("to"))
+      val best = GraphOps.bestEdge(edges.filter(col("w") >= tau))
       // vertices with no qualifying edge point at themselves
       val f = sizes.select("id").join(best, Seq("id"), "left_outer")
         .select(col("id"), coalesce(col("to"), col("id")).as("to"))
       val assign = Functional.components(f)
         .select(col("id"), col("root").as("cid"))
       val (e2, s2) = GraphOps.contract(edges, sizes, assign)
-      edges = e2.localCheckpoint()
-      sizes = s2.localCheckpoint()
-      mapping = mapping.join(assign.select(col("id").as("cur"), col("cid")), "cur")
-        .select(col("id"), col("cid").as("cur")).localCheckpoint()
+      edges = GraphOps.checkpoint(e2)
+      sizes = GraphOps.checkpoint(s2)
+      mapping = GraphOps.checkpoint(
+        mapping.join(assign.select(col("id").as("cur"), col("cid")), "cur")
+          .select(col("id"), col("cid").as("cur")))
       levels += mapping.select(col("id"), col("cur").as("cluster"))
     }
     DistResult(levels.result(), rounds)
-  }
-}
-
-/** Minimal path-compressing union-find over Long ids. */
-final class UnionFind {
-  private val parent = mutable.HashMap.empty[Long, Long]
-  def find(x: Long): Long = {
-    var r = x
-    while (parent.getOrElse(r, r) != r) r = parent(r)
-    var c = x
-    while (parent.getOrElse(c, c) != c) { val n = parent(c); parent(c) = r; c = n }
-    r
-  }
-  /** Union by min id: the root is always the minimum member. */
-  def union(a: Long, b: Long): Unit = {
-    val ra = find(a); val rb = find(b)
-    if (ra != rb) {
-      if (ra < rb) parent(rb) = ra else parent(ra) = rb
-    }
   }
 }

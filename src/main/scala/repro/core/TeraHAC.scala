@@ -20,11 +20,11 @@ import repro.partition.AffinityPartitioner
   *  5. vertex pruning: drop vertices with wmax < t/(1+ε), then drop
   *     isolated vertices.
   * The loop runs while any edge of weight ≥ t remains. Lineage is truncated
-  * with `localCheckpoint()` every round.
+  * with [[GraphOps.checkpoint]] every round.
   *
   * Stall handling: if a round performs zero merges (possible only when the
-  * size cap split every reciprocal pair apart), the cap quadruples and the
-  * hash salt changes; three consecutive stalls abort.
+  * size cap split every reciprocal pair apart), the cap quadruples; three
+  * consecutive stalls abort.
   */
 object TeraHAC {
 
@@ -53,17 +53,15 @@ object TeraHAC {
     * @param maxClusterEdges affinity size cap (directed-edge load)
     */
   def run(spark: SparkSession, edges0: DataFrame, eps: Double, t: Double,
-          maxClusterEdges: Long = 1L << 20, maxRounds: Int = 100,
-          seed: Long = 42): Result = {
+          maxClusterEdges: Long = 1L << 20, maxRounds: Int = 100): Result = {
     import spark.implicits._
     require(eps >= 0 && t >= 0)
 
-    var edges = edges0.select(col("src").cast("long").as("src"),
-                              col("dst").cast("long").as("dst"),
-                              col("w").cast("double").as("w"))
-      .localCheckpoint()
-    val leaves = edges.select(col("src").as("id")).distinct().localCheckpoint()
-    var vertices = GraphOps.singletonVertices(spark, edges).localCheckpoint()
+    var edges = GraphOps.checkpoint(edges0.select(col("src").cast("long").as("src"),
+                                                  col("dst").cast("long").as("dst"),
+                                                  col("w").cast("double").as("w")))
+    val leaves = GraphOps.checkpoint(edges.select(col("src").as("id")).distinct())
+    var vertices = GraphOps.checkpoint(GraphOps.singletonVertices(edges))
 
     var dendroParts: List[DataFrame] = Nil
     val stats = Vector.newBuilder[RoundStat]
@@ -78,7 +76,7 @@ object TeraHAC {
       val nV = vertices.count()
       val nE = edges.count()
 
-      val cids = AffinityPartitioner.partition(edges, cap, salt = seed + round)
+      val cids = AffinityPartitioner.partition(edges, cap)
       val vc = vertices.join(cids, "id")
       val srcM = vc.select(col("id").as("src"), col("size").as("srcSize"),
         col("minMerge").as("srcMinMerge"), col("minLeaf").as("srcMinLeaf"),
@@ -96,15 +94,13 @@ object TeraHAC {
         .flatMapGroups((cid, it) => runGroup(cid, it, eps))
         .persist()
 
-      val dendro = out.filter(_.kind == SubOut.Dendro)
-        .map(o => (o.a, o.b, o.sim)).toDF("child", "parent", "sim")
-        .localCheckpoint()
+      val dendro = GraphOps.checkpoint(out.filter(_.kind == SubOut.Dendro)
+        .map(o => (o.a, o.b, o.sim)).toDF("child", "parent", "sim"))
       val assign = out.filter(_.kind == SubOut.Assign)
         .map(o => (o.a, o.b)).toDF("id", "cid")
-      val newVerts = out.filter(_.kind == SubOut.Meta)
+      val newVerts = GraphOps.checkpoint(out.filter(_.kind == SubOut.Meta)
         .map(o => (o.a, o.size, o.minMerge, o.minLeaf))
-        .toDF("id", "size", "minMerge", "minLeaf")
-        .localCheckpoint()
+        .toDF("id", "size", "minMerge", "minLeaf"))
 
       val (contracted, _) = GraphOps.contract(
         edges, vertices.select("id", "size"), assign,
@@ -114,9 +110,9 @@ object TeraHAC {
         if (t > 0) GraphOps.prune(contracted, newVerts, t / (1.0 + eps))
         else (contracted, newVerts)
 
-      val newEdges = pruned.localCheckpoint()
-      val v4 = v3.join(newEdges.select(col("src").as("id")).distinct(),
-                       Seq("id"), "left_semi").localCheckpoint()
+      val newEdges = GraphOps.checkpoint(pruned)
+      val v4 = GraphOps.checkpoint(v3.join(newEdges.select(col("src").as("id")).distinct(),
+                                           Seq("id"), "left_semi"))
 
       val nVNew = newVerts.count()
       val merges = nV - nVNew

@@ -1,6 +1,6 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Observation}
 import org.apache.spark.sql.functions._
 
 /** Relational building blocks of the distributed graph dataflow.
@@ -10,6 +10,57 @@ import org.apache.spark.sql.functions._
   * `(id: Long, size: Long)`.
   */
 object GraphOps {
+
+  /** Materializes `df` and cuts its lineage; the program's only lineage cut.
+    *
+    * A `localCheckpoint` keeps the size estimate of the plan that produced
+    * it, and a join estimates its size as the product of its inputs', so a
+    * frame joined with itself and checkpointed every iteration squares its
+    * estimate each time, until planning one query takes minutes. Rebuilding
+    * the frame over the checkpointed rows drops that estimate (Spark then
+    * assumes its default size) and runs no extra job.
+    */
+  def checkpoint(df: DataFrame): DataFrame = {
+    val c = df.localCheckpoint()
+    df.sparkSession.createDataFrame(c.rdd, c.schema)
+  }
+
+  /** Each source's best edge, (id, to, w): the heaviest, ties broken toward
+    * the smaller dst (the max of (w, -dst)).
+    */
+  def bestEdge(edges: DataFrame): DataFrame =
+    edges.groupBy(col("src").as("id"))
+      .agg(max(struct(col("w"), (-col("dst")).as("nd"), col("dst"))).as("m"))
+      .select(col("id"), col("m.dst").as("to"), col("m.w").as("w"))
+
+  /** One pointer jump over labels (id, p): every p becomes p's own label. */
+  def jump(p: DataFrame): DataFrame =
+    p.as("x").join(p.as("y"), col("x.p") === col("y.id"))
+      .select(col("x.id").as("id"), col("y.p").as("p"))
+
+  /** Enough iterations for a pointer jump to reach any depth below 2^63. */
+  private val MaxIterations = 64
+
+  /** Applies `step` to labels (id, p) until no label changes, checkpointing
+    * every iteration. The changed labels are counted by the checkpoint's own
+    * job (an observed metric), so testing for convergence needs no separate
+    * action.
+    */
+  def fixpoint(p0: DataFrame)(step: DataFrame => DataFrame): DataFrame = {
+    var p = checkpoint(p0)
+    var converged = false
+    var i = 0
+    while (!converged && i < MaxIterations) {
+      val changed = Observation()
+      p = checkpoint(step(p).as("new").join(p.as("old"), col("new.id") === col("old.id"))
+        .observe(changed, count_if(col("new.p") =!= col("old.p")).as("changed"))
+        .select(col("new.id").as("id"), col("new.p").as("p")))
+      converged = changed.get("changed") == 0L
+      i += 1
+    }
+    require(converged, s"labels did not converge in $MaxIterations iterations")
+    p
+  }
 
   /** Graph statistics: vertices, directed edge rows, average degree. */
   final case class Stats(numVertices: Long, numDirectedEdges: Long, avgDegree: Double)
@@ -103,7 +154,7 @@ object GraphOps {
   }
 
   /** Initial singleton vertex metadata for an edge frame. */
-  def singletonVertices(spark: SparkSession, edges: DataFrame): DataFrame =
+  def singletonVertices(edges: DataFrame): DataFrame =
     edges.select(col("src").as("id")).distinct()
       .select(col("id"), lit(1L).as("size"),
               lit(Double.PositiveInfinity).as("minMerge"), col("id").as("minLeaf"))

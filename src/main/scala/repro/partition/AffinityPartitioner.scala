@@ -2,6 +2,7 @@ package repro.partition
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import repro.graph.{GraphOps, UnionFind}
 
 /** Size-constrained affinity clustering (Bateni et al. [7], size constraint
   * per Epasto et al. [27]) — TeraHAC's round partitioner.
@@ -30,17 +31,15 @@ object AffinityPartitioner {
   final case class MarkedEdge(root: Long, v: Long, to: Long, w: Double, deg: Long)
 
   /** @param edges symmetric (src, dst, w)
-    * @param salt  kept for API stability; the greedy split is deterministic
+    * @param salt  ignored: the greedy split is deterministic. It stays only
+    *              because the benchmark harness (`perfbench`) passes it by
+    *              name.
     * @return (id, cid) for every vertex with ≥ 1 edge
     */
-  def partition(edges: DataFrame, capEdges: Long, salt: Long): DataFrame = {
+  def partition(edges: DataFrame, capEdges: Long, salt: Long = 0L): DataFrame = {
     val spark = edges.sparkSession
     import spark.implicits._
-    // arg-max edge per vertex: max over (w, -dst) picks w desc, dst asc.
-    val best = edges
-      .groupBy(col("src").as("id"))
-      .agg(max(struct(col("w"), (-col("dst")).as("nd"), col("dst"))).as("m"))
-      .select(col("id"), col("m.dst").as("to"), col("m.w").as("w"))
+    val best = GraphOps.bestEdge(edges)
     val comps = Functional.components(best.select("id", "to")) // (id, root)
     val deg = edges.groupBy(col("src").as("id")).agg(count("*").as("deg"))
 
@@ -57,28 +56,20 @@ object AffinityPartitioner {
   private[partition] def cappedUnion(it: Iterator[MarkedEdge],
                                      capEdges: Long): Iterator[(Long, Long)] = {
     val es = it.toArray
-    val parent = scala.collection.mutable.HashMap.empty[Long, Long]
+    val uf = new UnionFind
     val load = scala.collection.mutable.HashMap.empty[Long, Long]
-    def find(x: Long): Long = {
-      var r = x
-      while (parent.getOrElse(r, r) != r) r = parent(r)
-      var c = x
-      while (parent.getOrElse(c, c) != c) { val n = parent(c); parent(c) = r; c = n }
-      r
-    }
     for (e <- es) load(e.v) = e.deg
     // weight-descending greedy: the heaviest best-edges are the most likely
     // good merges and must stay intra-partition
     for (e <- es.sortBy(x => (-x.w, x.v)) if e.v != e.to) {
-      val ra = find(e.v)
-      val rb = find(e.to)
+      val ra = uf.find(e.v)
+      val rb = uf.find(e.to)
       if (ra != rb && load(ra) + load(rb) <= capEdges) {
-        val (keep, drop) = if (ra < rb) (ra, rb) else (rb, ra)
-        parent(drop) = keep
-        load(keep) = load(keep) + load(drop)
-        load.remove(drop)
+        uf.union(ra, rb) // the smaller root survives
+        load(math.min(ra, rb)) = load(ra) + load(rb)
+        load.remove(math.max(ra, rb))
       }
     }
-    es.iterator.map(e => (e.v, find(e.v)))
+    es.iterator.map(e => (e.v, uf.find(e.v)))
   }
 }

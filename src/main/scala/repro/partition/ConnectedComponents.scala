@@ -2,6 +2,7 @@ package repro.partition
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import repro.graph.GraphOps
 
 /** Generic connected components over an arbitrary symmetric edge frame
   * (used by the DBSCAN baseline's core-subgraph step).
@@ -17,30 +18,17 @@ object ConnectedComponents {
     */
   def run(vertices: DataFrame, symEdges: DataFrame): DataFrame = {
     val edges = symEdges.select("src", "dst")
-    var p = vertices.select(col("id"), col("id").as("p")).localCheckpoint()
-    var converged = false
-    var i = 0
-    val maxIters = 64
-    while (!converged && i < maxIters) {
-      // (a) propagate the neighbor minimum one hop
+    // labels only decrease and always name a vertex, so after propagating
+    // the neighbor minimum one hop a plain jump keeps the smaller label
+    def propagate(p: DataFrame): DataFrame = {
       val nbrMin = edges
         .join(p.select(col("id").as("dst"), col("p").as("np")), "dst")
         .groupBy(col("src").as("id")).agg(min("np").as("nm"))
-      val step = p.join(nbrMin, Seq("id"), "left_outer")
-        .select(col("id"), least(col("p"), coalesce(col("nm"), col("p"))).as("p"))
-      // (b) pointer doubling through current labels
-      val next = step.as("x")
-        .join(step.select(col("id"), col("p").as("pp")).as("y"),
-              col("x.p") === col("y.id"), "left_outer")
-        .select(col("x.id").as("id"), least(col("x.p"), coalesce(col("pp"), col("x.p"))).as("p"))
-        .localCheckpoint()
-      val changed = next.as("a").join(p.as("b"), col("a.id") === col("b.id"))
-        .filter(col("a.p") =!= col("b.p")).count()
-      p = next
-      converged = changed == 0
-      i += 1
+      p.join(nbrMin, Seq("id"), "left_outer")
+        .select(col("id"), least(col("p"), col("nm")).as("p"))
     }
-    require(converged, s"connected components did not converge in $maxIters rounds")
-    p.select(col("id"), col("p").as("root"))
+    GraphOps.fixpoint(vertices.select(col("id"), col("id").as("p")))(
+      p => GraphOps.jump(propagate(p)))
+      .select(col("id"), col("p").as("root"))
   }
 }

@@ -2,6 +2,7 @@ package repro.partition
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import repro.graph.GraphOps
 
 /** Components of a *functional* graph (every vertex has exactly one
   * out-pointer, e.g. its best-weight neighbor).
@@ -10,8 +11,8 @@ import org.apache.spark.sql.functions._
   * cycles are 2-cycles (reciprocal pairs) — a k-cycle would force all k
   * weights equal and the id tie-breaks to be simultaneously decreasing,
   * a contradiction. We canonicalize each 2-cycle to point at its min id,
-  * then pointer-double for ⌈log₂ n⌉+2 rounds, which is exact for trees
-  * hanging off canonicalized roots.
+  * then pointer-jump to the fixpoint, which is exact for trees hanging off
+  * canonicalized roots.
   *
   * Used by the affinity partitioner and by every SCC compression round.
   */
@@ -21,34 +22,11 @@ object Functional {
     * @return (id, root) — root = min id of the component's central pair.
     */
   def components(f: DataFrame): DataFrame = {
-    val n = f.count()
-    val iters = 2 + math.max(1, (64 - java.lang.Long.numberOfLeadingZeros(math.max(1L, n))))
-    val f2 = f.as("a")
+    val p0 = f.as("a")
       .join(f.as("b"), col("a.to") === col("b.id"))
-      .select(col("a.id").as("id"), col("a.to").as("to"), col("b.to").as("tt"))
-    var p = f2.select(col("id"),
-        when(col("tt") === col("id"), least(col("id"), col("to")))
-          .otherwise(col("to")).as("p"))
-      .localCheckpoint()
-    var i = 0
-    var converged = false
-    while (i < iters && !converged) {
-      val next = p.as("x")
-        .join(p.as("y"), col("x.p") === col("y.id"))
-        .select(col("x.id").as("id"), col("y.p").as("p"))
-        .localCheckpoint()
-      // Random-weight affinity trees are shallow; exit as soon as jumping
-      // is a fixpoint instead of always paying ⌈log₂ n⌉ rounds. The check
-      // is itself a job, so only run it every other iteration.
-      if (i % 2 == 1 || i + 1 >= iters) {
-        val changed = next.as("a").join(p.as("b"), col("a.id") === col("b.id"))
-          .filter(col("a.p") =!= col("b.p")).count()
-        converged = changed == 0
-      }
-      p = next
-      i += 1
-    }
-    require(converged, s"pointer jumping failed to converge after $iters rounds")
-    p.select(col("id"), col("p").as("root"))
+      .select(col("a.id").as("id"),
+        when(col("b.to") === col("a.id"), least(col("a.id"), col("a.to")))
+          .otherwise(col("a.to")).as("p"))
+    GraphOps.fixpoint(p0)(GraphOps.jump).select(col("id"), col("p").as("root"))
   }
 }

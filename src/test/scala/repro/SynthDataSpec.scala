@@ -5,34 +5,6 @@ import repro.graph.GraphOps
 
 class SynthDataSpec extends SparkSpec {
 
-  // ----------------------------------------------- provided TPC-H-lite
-
-  test("lineitem generator is deterministic in (sf, seed)") {
-    val a = SynthData.lineitem(spark, 0.001, seed = 5).collect()
-    val b = SynthData.lineitem(spark, 0.001, seed = 5).collect()
-    assert(a.sameElements(b))
-  }
-
-  test("oracle: lineitem revenue aggregation matches DuckDB") {
-    val li = SynthData.lineitem(spark, 0.001)
-    val got = li.groupBy("l_returnflag")
-      .agg(round(sum(col("l_extendedprice") * (lit(1.0) - col("l_discount"))), 2)
-        .as("revenue"))
-    Oracle.assertEquivalent(
-      got,
-      """SELECT l_returnflag,
-        |       ROUND(SUM(CAST(l_extendedprice AS DOUBLE) *
-        |                 (1.0 - CAST(l_discount AS DOUBLE))), 2) AS revenue
-        |FROM lineitem GROUP BY l_returnflag""".stripMargin,
-      "lineitem" -> li)
-  }
-
-  test("zipf keys are skewed toward small ranks") {
-    val df = SynthData.zipfKeys(spark, 20000, 1000, seed = 1)
-    val top = df.filter(col("k") <= 10).count().toDouble / 20000
-    assert(top > 0.3, s"zipf head mass $top too small")
-  }
-
   // ----------------------------------------------------------- pointsets
 
   test("blobs are deterministic and labeled round-robin") {

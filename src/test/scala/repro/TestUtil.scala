@@ -118,7 +118,7 @@ object TestUtil {
   /** Naive connected components via union-find. */
   def naiveComponents(vertices: Iterable[Long],
                       edges: Iterable[(Long, Long)]): Map[Long, Long] = {
-    val uf = new repro.baselines.UnionFind
+    val uf = new repro.graph.UnionFind
     vertices.foreach(v => uf.union(v, v))
     for ((u, v) <- edges) uf.union(u, v)
     vertices.map(v => v -> uf.find(v)).toMap

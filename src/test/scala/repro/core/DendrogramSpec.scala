@@ -108,14 +108,12 @@ class DendrogramSpec extends AnyFunSuite {
         val g = LocalGraph.fromEdges(edges)
         val rows = ExactHAC.run(g) // full run, then cut by sims
         val triples = TestUtil.mergeTriples(rows).filter(_._4 >= t)
-        val uf = new repro.baselines.UnionFind
         // exact dendrograms are monotone: merges ≥ t form a prefix forest
         val childToParent = triples.flatMap(tr => Seq(tr._1, tr._2).map(_ -> tr._3)).toMap
         def top(x: Long): Long =
           childToParent.get(x).map(top).getOrElse(x)
         val ref = d.leaves.map(l => l -> top(l)).toMap
         assert(TestUtil.samePartition(flat, ref), s"t=$t seed=$seed")
-        uf.find(0L) // silence unused
       }
     }
   }

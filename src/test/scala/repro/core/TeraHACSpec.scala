@@ -15,8 +15,8 @@ class TeraHACSpec extends SparkSpec {
   }
 
   private def run(edges: Seq[(Long, Long, Double)], eps: Double, t: Double,
-                  cap: Long = 64, seed: Long = 42): TeraHAC.Result =
-    TeraHAC.run(spark, toDF(edges), eps, t, maxClusterEdges = cap, seed = seed)
+                  cap: Long = 64): TeraHAC.Result =
+    TeraHAC.run(spark, toDF(edges), eps, t, maxClusterEdges = cap)
 
   test("two vertices: merges the single edge") {
     val res = run(Seq((3L, 7L, 0.5)), eps = 0.0, t = 0.0)
@@ -39,10 +39,10 @@ class TeraHACSpec extends SparkSpec {
     }
   }
 
-  test("ε=0 output is invariant to the partitioning (seed and cap)") {
+  test("ε=0 output is invariant to the partitioning (cap)") {
     val edges = TestUtil.randomConnectedGraph(35, 70, seed = 9)
-    val a = run(edges, 0.0, 0.0, cap = 32, seed = 1).toLocal
-    val b = run(edges, 0.0, 0.0, cap = 512, seed = 99).toLocal
+    val a = run(edges, 0.0, 0.0, cap = 32).toLocal
+    val b = run(edges, 0.0, 0.0, cap = 512).toLocal
     assert(a.parent.keySet == b.parent.keySet)
     assert(a.parent.view.mapValues(_._1).toMap == b.parent.view.mapValues(_._1).toMap)
   }

@@ -162,7 +162,7 @@ class GraphOpsSpec extends SparkSpec {
 
   test("singletonVertices initializes metadata") {
     val e = sym(Seq((1L, 2L, 0.5)))
-    val v = GraphOps.singletonVertices(spark, e).collect()
+    val v = GraphOps.singletonVertices(e).collect()
       .map(r => (r.getLong(0), r.getLong(1), r.getDouble(2), r.getLong(3))).toSet
     assert(v == Set((1L, 1L, Double.PositiveInfinity, 1L),
                     (2L, 1L, Double.PositiveInfinity, 2L)))

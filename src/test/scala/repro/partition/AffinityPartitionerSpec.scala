@@ -11,9 +11,8 @@ class AffinityPartitionerSpec extends SparkSpec {
     GraphOps.symmetrize(edges.toDF("src", "dst", "w"))
   }
 
-  private def partitionMap(edges: Seq[(Long, Long, Double)], cap: Long,
-                           salt: Long = 1): Map[Long, Long] =
-    AffinityPartitioner.partition(sym(edges), cap, salt)
+  private def partitionMap(edges: Seq[(Long, Long, Double)], cap: Long): Map[Long, Long] =
+    AffinityPartitioner.partition(sym(edges), cap)
       .collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
 
   test("reciprocal best pair lands in one cluster") {
@@ -58,7 +57,7 @@ class AffinityPartitionerSpec extends SparkSpec {
     import repro.core.LocalGraph
     for (seed <- 1 to 3) {
       val edges = TestUtil.randomConnectedGraph(45, 90, seed)
-      val p = partitionMap(edges, cap = 1L << 30, salt = seed)
+      val p = partitionMap(edges, cap = 1L << 30)
       val g = LocalGraph.fromEdges(edges)
       val f = g.vertices.map { v =>
         (v, g.nbrs(v).toVector.minBy { case (a, w) => (-w, a) }._1)
@@ -78,28 +77,17 @@ class AffinityPartitionerSpec extends SparkSpec {
     assert(pCapped.values.toSet.size > 1)
   }
 
-  test("splitting is deterministic in the salt") {
+  test("splitting is deterministic") {
     val edges = TestUtil.randomConnectedGraph(40, 80, seed = 7)
-    val a = partitionMap(edges, cap = 30, salt = 5)
-    val b = partitionMap(edges, cap = 30, salt = 5)
+    val a = partitionMap(edges, cap = 30)
+    val b = partitionMap(edges, cap = 30)
     assert(a == b)
   }
 
-  test("different salts can produce different splits") {
-    val edges = (1 to 60).map(i => (0L, i.toLong, 0.5 + i * 0.001))
-    val a = partitionMap(edges, cap = 20, salt = 1)
-    val b = partitionMap(edges, cap = 20, salt = 2)
-    // same cluster count bound, typically different assignment
-    assert(a.keySet == b.keySet)
-  }
-
   test("oracle: best-edge selection matches SQL arg-max") {
-    import spark.implicits._
     val edges = TestUtil.randomConnectedGraph(25, 40, seed = 11)
     val e = sym(edges)
-    val best = e.groupBy(col("src").as("id"))
-      .agg(max(struct(col("w"), (-col("dst")).as("nd"), col("dst"))).as("m"))
-      .select(col("id"), col("m.dst").as("best_dst"))
+    val best = GraphOps.bestEdge(e).select(col("id"), col("to").as("best_dst"))
     Oracle.assertEquivalent(
       best,
       """SELECT src AS id, dst AS best_dst FROM (
@@ -111,13 +99,9 @@ class AffinityPartitionerSpec extends SparkSpec {
   }
 
   test("oracle: per-cluster degree load matches SQL aggregation") {
-    import spark.implicits._
     val edges = TestUtil.randomConnectedGraph(25, 40, seed = 13)
     val e = sym(edges)
-    val comps = Functional.components(
-      e.groupBy(col("src").as("id"))
-        .agg(max(struct(col("w"), (-col("dst")).as("nd"), col("dst"))).as("m"))
-        .select(col("id"), col("m.dst").as("to")))
+    val comps = Functional.components(GraphOps.bestEdge(e).select("id", "to"))
     val deg = e.groupBy(col("src").as("id")).agg(count("*").as("deg"))
     val load = comps.join(deg, "id").groupBy("root").agg(sum("deg").as("load"))
     Oracle.assertEquivalent(

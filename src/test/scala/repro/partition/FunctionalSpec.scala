@@ -2,7 +2,6 @@ package repro.partition
 
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestUtil}
-import repro.baselines.UnionFind
 
 class FunctionalSpec extends SparkSpec {
 
@@ -67,6 +66,17 @@ class FunctionalSpec extends SparkSpec {
     val f = Seq((2L, 7L), (7L, 2L), (9L, 7L), (4L, 9L), (1L, 2L))
     val got = componentsOf(f)
     assert(got.values.toSet == Set(2L))
+  }
+
+  test("the planner's size estimate stays bounded over many jumps") {
+    // a 64-vertex chain takes 7 checkpointed jumps; if a checkpoint kept the
+    // estimate of the self-join that produced it, every jump would square it
+    import spark.implicits._
+    val f = ((1 until 64).map(i => (i.toLong, i - 1L)) :+ ((0L, 1L))).toDF("id", "to")
+    val roots = Functional.components(f)
+    assert(roots.select("root").distinct().count() == 1)
+    val size = roots.queryExecution.optimizedPlan.stats.sizeInBytes
+    assert(size <= BigInt(Long.MaxValue), s"size estimate $size")
   }
 
   test("ids can exceed 2^32 (cluster-id range)") {
