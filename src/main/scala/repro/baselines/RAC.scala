@@ -22,19 +22,10 @@ object RAC {
     var rounds = 0
     var capped = false
 
-    def bestNbr(v: Long): Option[Long] = {
-      var bw = Double.NegativeInfinity
-      var bn = -1L
-      for ((a, w) <- g.nbrs(v) if w >= t) {
-        if (w > bw || (w == bw && a < bn)) { bw = w; bn = a }
-      }
-      if (bn >= 0) Some(bn) else None
-    }
-
     var done = false
     while (!done) {
       val best = mutable.HashMap.empty[Long, Long]
-      for (v <- g.vertices) bestNbr(v).foreach(best(v) = _)
+      for (v <- g.vertices) g.bestNeighbor(v, t).foreach(best(v) = _)
       val pairs = best.iterator.collect {
         case (u, v) if u < v && best.get(v).contains(u) => (u, v)
       }.toVector

@@ -45,13 +45,7 @@ object SCC {
     for (tau <- taus) {
       // best qualifying neighbor per vertex (w desc, id asc), else self
       val f = mutable.HashMap.empty[Long, Long]
-      for (v <- g.vertices) {
-        var bw = Double.NegativeInfinity; var bn = v
-        for ((a, w) <- g.nbrs(v) if w >= tau) {
-          if (w > bw || (w == bw && a < bn)) { bw = w; bn = a }
-        }
-        f(v) = bn
-      }
+      for (v <- g.vertices) f(v) = g.bestNeighbor(v, tau).getOrElse(v)
       // components of the functional graph via union-find
       val uf = new UnionFind
       for ((v, to) <- f) uf.union(v, to)

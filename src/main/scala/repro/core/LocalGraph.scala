@@ -65,6 +65,12 @@ final class LocalGraph {
   /** Maximum incident edge weight of v (0 if isolated). */
   def wmax(v: Long): Double = wmaxCache.getOrElse(v, 0.0)
 
+  /** v's heaviest neighbour over edges of weight ≥ minW, ties broken toward
+    * the smaller id; the local twin of [[repro.graph.GraphOps.bestEdge]].
+    */
+  def bestNeighbor(v: Long, minW: Double): Option[Long] =
+    nbrs(v).iterator.filter(_._2 >= minW).maxByOption { case (a, w) => (w, -a) }.map(_._1)
+
   /** Undirected edge iterator with u < v. */
   def undirectedEdges: Iterator[(Long, Long, Double)] =
     for ((u, m) <- nbrs.iterator; (v, w) <- m.iterator if u < v) yield (u, v, w)

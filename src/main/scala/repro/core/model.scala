@@ -16,8 +16,8 @@ object model {
   val IdOffset: Long = 1L << 40
 
   /** Multiplicative slack applied to every goodness comparison so that the
-    * FP-order difference between local merge arithmetic and distributed
-    * contraction (`Σ raw / (|A||B|)`) cannot deadlock an ε=0 run.
+    * FP-order difference between local merge arithmetic and the distributed
+    * renormalization (`Σ raw / (|A||B|)`) cannot deadlock an ε=0 run.
     */
   val FpSlack: Double = 1e-9
 
@@ -41,16 +41,20 @@ object model {
 
   /** Union-typed output row of one SubgraphHAC group.
     *
-    *  - kind=Dendro : dendrogram row — child `a`, parent `b`, linkage `sim`
-    *  - kind=Assign : vertex `a` maps to post-merge cluster `b`
-    *  - kind=Meta   : post-merge cluster `a` with (size, minMerge, minLeaf)
+    *  - kind=Dendro  : dendrogram row — child `a`, parent `b`, linkage `sim`
+    *  - kind=Assign  : vertex `a` maps to post-merge cluster `b` of `size`
+    *  - kind=Partial : one owned edge (u, v) — u's post-merge cluster `a`
+    *                   of `size`, old vertex `b` = v, raw weight
+    *                   `sim` = w·|u|·|v|
+    *  - kind=Meta    : post-merge cluster `a` with (size, minMerge, minLeaf)
     */
   final case class SubOut(kind: Int, a: Long, b: Long, sim: Double,
                           size: Long, minMerge: Double, minLeaf: Long)
   object SubOut {
-    val Dendro = 0
-    val Assign = 1
-    val Meta   = 2
+    val Dendro  = 0
+    val Assign  = 1
+    val Meta    = 2
+    val Partial = 3
   }
 
   /** One dendrogram edge: `child`'s parent node and the linkage similarity

@@ -1,6 +1,6 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, Observation}
+import org.apache.spark.sql.{Column, DataFrame, Observation}
 import org.apache.spark.sql.functions._
 
 /** Relational building blocks of the distributed graph dataflow.
@@ -23,6 +23,18 @@ object GraphOps {
   def checkpoint(df: DataFrame): DataFrame = {
     val c = df.localCheckpoint()
     df.sparkSession.createDataFrame(c.rdd, c.schema)
+  }
+
+  /** [[checkpoint]] that also counts the rows matching each condition. The
+    * checkpoint's own job counts them (an observed metric), so the counts
+    * cost no extra action.
+    */
+  def checkpointCounting(df: DataFrame, conditions: Column*): (DataFrame, Seq[Long]) = {
+    val o = Observation()
+    val counts = conditions.zipWithIndex.map { case (c, i) => count_if(c).as(s"c$i") }
+    val c = checkpoint(df.observe(o, counts.head, counts.tail: _*))
+    val m = o.get
+    (c, counts.indices.map(i => m(s"c$i").asInstanceOf[Long]))
   }
 
   /** Each source's best edge, (id, to, w): the heaviest, ties broken toward
@@ -101,7 +113,9 @@ object GraphOps {
   }
 
   /** Number of directed edge rows with weight ≥ t (paper's
-    * NumberOfHeavyEdges).
+    * NumberOfHeavyEdges). No program caller: `TeraHAC` counts heavy edges
+    * on its edge checkpoint (an observed metric). It stays only because the
+    * frozen benchmark harness (`perfbench`) calls it.
     */
   def heavyCount(edges: DataFrame, t: Double): Long =
     edges.filter(col("w") >= t).count()
@@ -112,33 +126,46 @@ object GraphOps {
 
   /** Contracts the graph by a total assignment (id → cid).
     *
-    * Average-linkage aware: raw cross weight `Σ w·|u|·|v|` is aggregated per
-    * cluster pair and renormalized by the product of new cluster sizes.
+    * Average-linkage aware: forms the raw cross weight `w·|u|·|v|` of every
+    * edge keyed by (new src, old dst) and finishes with [[renameDst]].
     * Self loops (intra-cluster edges) vanish. Returns (edges', sizes').
     *
-    * @param newSizes optional precomputed sizes of the new clusters (e.g.
-    *                 SubgraphHAC metadata); derived from `sizes`+`assign`
-    *                 when absent.
+    * @param newSizes optional precomputed sizes of the new clusters;
+    *                 derived from `sizes`+`assign` when absent. No program
+    *                 caller passes it: it stays only because the frozen
+    *                 benchmark harness (`perfbench`) does.
     */
   def contract(edges: DataFrame, sizes: DataFrame, assign: DataFrame,
                newSizes: Option[DataFrame] = None): (DataFrame, DataFrame) = {
     val ns = newSizes.getOrElse(
       sizes.join(assign, "id").groupBy(col("cid").as("id")).agg(sum("size").as("size")))
-    val raw = edges
+    val sized = assign.join(ns.select(col("id").as("cid"), col("size")), "cid")
+    val partials = edges
       .join(sizes.select(col("id").as("src"), col("size").as("srcSize")), "src")
       .join(sizes.select(col("id").as("dst"), col("size").as("dstSize")), "dst")
-      .join(assign.select(col("id").as("src"), col("cid").as("nsrc")), "src")
-      .join(assign.select(col("id").as("dst"), col("cid").as("ndst")), "dst")
-      .filter(col("nsrc") =!= col("ndst"))
-      .groupBy("nsrc", "ndst")
-      .agg(sum(col("w") * col("srcSize") * col("dstSize")).as("raw"))
-    val newEdges = raw
-      .join(ns.select(col("id").as("nsrc"), col("size").as("sA")), "nsrc")
-      .join(ns.select(col("id").as("ndst"), col("size").as("sB")), "ndst")
-      .select(col("nsrc").as("src"), col("ndst").as("dst"),
-              (col("raw") / (col("sA") * col("sB"))).as("w"))
-    (newEdges, ns)
+      .join(sized.select(col("id").as("src"), col("cid").as("nsrc"), col("size").as("sA")), "src")
+      .select(col("nsrc").as("src"), col("dst"),
+              (col("w") * col("srcSize") * col("dstSize")).as("raw"), col("sA"))
+    (renameDst(partials, sized), ns)
   }
+
+  /** Finishes a contraction from partial sums: renames each partial row's
+    * old `dst` to its new cluster, drops intra-cluster pairs, and
+    * renormalizes the summed raw weight of every cluster pair by the
+    * product of the new sizes, `Σ raw / (|A||B|)`.
+    *
+    * @param partials (src: new cluster of the source, dst: old vertex,
+    *                 raw = w·|u|·|v|, sA: size of src), one row per edge
+    * @param assign   (id: old vertex, cid: its new cluster, size: the new
+    *                 cluster's size), total over the old vertices
+    */
+  def renameDst(partials: DataFrame, assign: DataFrame): DataFrame =
+    partials
+      .join(assign.select(col("id").as("dst"), col("cid").as("ndst"), col("size").as("sB")), "dst")
+      .filter(col("src") =!= col("ndst"))
+      .groupBy(col("src"), col("ndst").as("dst"), col("sA"), col("sB"))
+      .agg(sum("raw").as("raw"))
+      .select(col("src"), col("dst"), (col("raw") / (col("sA") * col("sB"))).as("w"))
 
   /** Vertex pruning (Alg. 1 line 7): drop vertices whose max incident
     * weight is < thr, together with all their edges. Returns (edges',

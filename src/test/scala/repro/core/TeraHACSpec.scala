@@ -1,9 +1,12 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestUtil}
 import repro.baselines.ExactHAC
 import repro.core.model._
+import repro.graph.GraphOps
+import repro.partition.AffinityPartitioner
 import repro.quality.Metrics
 
 class TeraHACSpec extends SparkSpec {
@@ -88,12 +91,66 @@ class TeraHACSpec extends SparkSpec {
       s"rounds: eps=0.1 → ${r1.rounds}, eps=0 → ${r0.rounds}")
   }
 
+  /** Round 1 built locally: the affinity partition of `edges` at `cap`,
+    * then [[TeraHAC.runGroup]] on every group's singleton-vertex edges.
+    */
+  private def round1Groups(edges: Seq[(Long, Long, Double)], eps: Double,
+                           cap: Long): (Map[Long, Long], Vector[SubOut]) = {
+    val cids = AffinityPartitioner.partition(toDF(edges), cap).collect()
+      .map(r => r.getLong(0) -> r.getLong(1)).toMap
+    val directed = edges.flatMap { case (u, v, w) => Seq((u, v, w), (v, u, w)) }
+    val out = directed.groupBy(e => cids(e._1)).toVector.flatMap { case (c, es) =>
+      val ctx = es.map { case (u, v, w) =>
+        EdgeCtx(c, u, 1L, Double.PositiveInfinity, u, v, 1L, Double.PositiveInfinity, v,
+                cids(v), w) }
+      TeraHAC.runGroup(c, ctx.iterator, eps).toVector
+    }
+    (cids, out)
+  }
+
+  test("group-side contraction matches GraphOps.contract") {
+    import spark.implicits._
+    val edges = TestUtil.randomConnectedGraph(40, 80, seed = 41)
+    val (cids, out) = round1Groups(edges, eps = 0.1, cap = 16)
+    assert(edges.exists { case (u, v, _) => cids(u) != cids(v) }, "no cross-group edge")
+    val assign = out.filter(_.kind == SubOut.Assign)
+    val partials = out.filter(_.kind == SubOut.Partial)
+      .map(o => (o.a, o.b, o.sim, o.size)).toDF("src", "dst", "raw", "sA")
+    val got = GraphOps.renameDst(partials,
+      assign.map(o => (o.a, o.b, o.size)).toDF("id", "cid", "size"))
+    val sizes = toDF(edges).select(col("src").as("id")).distinct()
+      .select(col("id"), lit(1L).as("size"))
+    val (ref, _) = GraphOps.contract(toDF(edges), sizes,
+      assign.map(o => (o.a, o.b)).toDF("id", "cid"))
+    def collect(df: DataFrame): Map[(Long, Long), Double] = df.collect()
+      .map(r => (r.getLong(0), r.getLong(1)) -> r.getDouble(2)).toMap
+    val (g, r) = (collect(got), collect(ref))
+    assert(g.nonEmpty && g.keySet == r.keySet)
+    for ((k, w) <- g) assert(math.abs(w - r(k)) <= 1e-12 * r(k), s"weight of $k")
+  }
+
   test("round stats are consistent with the dendrogram") {
     val edges = TestUtil.randomConnectedGraph(30, 60, seed = 14)
     val res = run(edges, 0.1, 0.0)
     assert(res.stats.map(_.merges).sum == res.toLocal.numMerges)
     assert(res.stats.last.heavyEdges == 0)
     assert(res.stats.map(_.round) == (1 to res.rounds).toVector)
+    assert(res.stats.head.nVertices == 30)
+    assert(res.stats.head.nDirectedEdges == 2 * edges.size)
+    for (Seq(a, b) <- res.stats.sliding(2))
+      assert(b.nVertices == a.nVertices - a.merges, s"round ${b.round}")
+  }
+
+  test("round 1 heavy edges match a local round 1") {
+    val (eps, t, cap) = (0.1, 0.3, 64L)
+    val edges = TestUtil.randomConnectedGraph(40, 80, seed = 42)
+    val res = run(edges, eps, t, cap)
+    val (_, out) = round1Groups(edges, eps, cap)
+    val assign = out.filter(_.kind == SubOut.Assign).map(o => o.a -> o.b).toMap
+    // pruning at t/(1+ε) < t keeps every edge of weight ≥ t
+    val c = LocalGraph.contracted(LocalGraph.fromEdges(edges), assign)
+    val heavy = 2 * c.undirectedEdges.count(_._3 >= t)
+    assert(heavy > 0 && res.stats.head.heavyEdges == heavy)
   }
 
   test("graph shrinks monotonically across rounds") {
