@@ -5,29 +5,40 @@ import org.apache.spark.sql.functions._
 import repro.core.model._
 import repro.graph.GraphOps
 import repro.partition.AffinityPartitioner
+import repro.partition.AffinityPartitioner.QuotientRow
 
 /** TeraHAC (Algorithm 1 / the Fig. 5 dataflow) on Spark DataFrames.
   *
   * Per round:
-  *  1. size-constrained affinity partitioning → (id, cid);
-  *  2. enrich every directed edge with both endpoints' metadata and group
-  *     by the source's cid — group C receives exactly the edges of G^C;
-  *  3. run [[SubgraphHAC]] inside each group (`flatMapGroups`), emitting
-  *     dendrogram rows, new cluster metadata (size, M(v), minLeaf), a
-  *     vertex→cluster assignment with the new cluster's size, and one
-  *     partial row per owned edge (u, v): the raw weight `w·|u|·|v|` keyed
-  *     by (u's new cluster, v);
-  *  4. finish the contraction with one rename of the old dst
+  *  1. size-constrained affinity partitioning, level 1 → (id, cid);
+  *  2. enrich every directed edge with both endpoints' metadata and cids
+  *     (persisted: it is read twice);
+  *  3. collect the level-1 cluster quotient — per (cid, dstCid), the max
+  *     weight and the edge count — and coarsen it on the driver with
+  *     [[AffinityPartitioner.coarsen]] under the same cap; a quotient of
+  *     more than `cap` rows keeps level 1. Both cids of every edge are
+  *     renamed to their coarsened group through a broadcast map;
+  *  4. group by the source's group — group C receives exactly the edges
+  *     of G^C — and run [[SubgraphHAC]] inside each group
+  *     (`flatMapGroups`), emitting dendrogram rows, new cluster metadata
+  *     (size, M(v), minLeaf), a vertex→cluster assignment with the new
+  *     cluster's size, and one partial row per owned edge (u, v): the raw
+  *     weight `w·|u|·|v|` keyed by (u's new cluster, v);
+  *  5. finish the contraction with one rename of the old dst
   *     ([[GraphOps.renameDst]]: raw sums renormalized by new sizes);
-  *  5. vertex pruning: drop vertices with wmax < t/(1+ε) and their edges.
-  * The loop runs while any edge of weight ≥ t remains. Lineage is truncated
-  * with [[GraphOps.checkpoint]] every round; the round's counts (merges,
+  *  6. vertex pruning: drop vertices with wmax < t/(1+ε) and their edges.
+  * The loop runs while any edge of weight ≥ t remains. Any partition gives
+  * a (1+ε)-approximate dendrogram (Lemma 4), so the coarsening keeps ε=0
+  * exact; a group covering a whole connected component merges it to
+  * completion in one round. Lineage is truncated with
+  * [[GraphOps.checkpoint]] every round; the round's counts (merges,
   * vertices, edges, heavy edges) are observed on the checkpoints' own jobs,
   * and vertices left without edges drop out at the next round's partition.
   *
   * Stall handling: if a round performs zero merges (possible only when the
   * size cap split every reciprocal pair apart), the cap quadruples; three
-  * consecutive stalls abort.
+  * consecutive stalls abort. The stall and `maxRounds` aborts name the
+  * round, the cap and the last [[RoundStat]].
   */
 object TeraHAC {
 
@@ -67,7 +78,7 @@ object TeraHAC {
     var vertices = GraphOps.checkpoint(GraphOps.singletonVertices(edges))
     val leaves = vertices.select("id")
     var dendroParts: List[DataFrame] = Nil
-    val stats = Vector.newBuilder[RoundStat]
+    var stats = Vector.empty[RoundStat]
     var round = 0
     var cap = maxClusterEdges
     var stalls = 0
@@ -89,9 +100,22 @@ object TeraHAC {
         .select(col("cid"), col("src"), col("srcSize"), col("srcMinMerge"),
                 col("srcMinLeaf"), col("dst"), col("dstSize"), col("dstMinMerge"),
                 col("dstMinLeaf"), col("dstCid"), col("w"))
-        .as[EdgeCtx]
+        .as[EdgeCtx].persist()
 
-      val out = ctx.groupByKey(_.cid)
+      // coarsen the level-1 clusters over their quotient, unless it has
+      // more rows than a group may hold
+      val quotient = ctx.groupBy("cid", "dstCid")
+        .agg(max("w").as("w"), count("*").as("rows"))
+        .as[QuotientRow].take(math.min(cap, Int.MaxValue - 1L).toInt + 1)
+      val group = spark.sparkContext.broadcast(
+        if (quotient.length > cap) Map.empty[Long, Long]
+        else AffinityPartitioner.coarsen(quotient.toSeq, cap))
+
+      val out = ctx.map { e =>
+          val g = group.value
+          e.copy(cid = g.getOrElse(e.cid, e.cid), dstCid = g.getOrElse(e.dstCid, e.dstCid))
+        }
+        .groupByKey(_.cid)
         .flatMapGroups((cid, it) => runGroup(cid, it, eps))
         .toDF().persist()
       def rows(kind: Int) = out.filter(col("kind") === kind)
@@ -114,27 +138,31 @@ object TeraHAC {
       val (newEdges, Seq(nENew, heavyNew)) =
         GraphOps.checkpointCounting(pruned, lit(true), col("w") >= t)
       out.unpersist()
+      ctx.unpersist()
+      group.unpersist()
 
       val merges = dendroRows / 2
+      val stat = RoundStat(round, nVNew + merges, nE, merges, heavyNew,
+                           (System.nanoTime() - t0) / 1000000L)
+      stats :+= stat
       if (merges == 0) {
         stalls += 1
+        require(stalls < 3, s"TeraHAC stalled for 3 rounds at round $round, cap $cap; last $stat")
         cap = math.min(cap * 4, Long.MaxValue / 8)
-        require(stalls < 3, s"TeraHAC stalled for 3 rounds at round $round")
       } else stalls = 0
 
-      stats += RoundStat(round, nVNew + merges, nE, merges, heavyNew,
-                         (System.nanoTime() - t0) / 1000000L)
       edges = newEdges
       vertices = newVerts
       nE = nENew
       heavy = heavyNew
       dendroParts ::= dendro
     }
-    require(heavy == 0, s"TeraHAC did not finish within $maxRounds rounds")
+    require(heavy == 0, s"TeraHAC did not finish within $maxRounds rounds: $heavy heavy " +
+      s"edges left at round $round, cap $cap; last ${stats.lastOption.getOrElse("round: none")}")
 
     val empty = Seq.empty[(Long, Long, Double)].toDF("child", "parent", "sim")
     val dendroAll = dendroParts.foldLeft(empty)(_ union _)
-    Result(dendroAll, leaves, round, stats.result())
+    Result(dendroAll, leaves, round, stats)
   }
 
   /** One SubgraphHAC group: materializes G^C as a [[LocalGraph]] (actives =

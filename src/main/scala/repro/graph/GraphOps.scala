@@ -37,13 +37,15 @@ object GraphOps {
     (c, counts.indices.map(i => m(s"c$i").asInstanceOf[Long]))
   }
 
-  /** Each source's best edge, (id, to, w): the heaviest, ties broken toward
-    * the smaller dst (the max of (w, -dst)).
+  /** Each source's best edge and degree, (id, to, w, deg): the heaviest
+    * edge, ties broken toward the smaller dst (the max of (w, -dst)), and
+    * the source's edge count, from one aggregation.
     */
   def bestEdge(edges: DataFrame): DataFrame =
     edges.groupBy(col("src").as("id"))
-      .agg(max(struct(col("w"), (-col("dst")).as("nd"), col("dst"))).as("m"))
-      .select(col("id"), col("m.dst").as("to"), col("m.w").as("w"))
+      .agg(max(struct(col("w"), (-col("dst")).as("nd"), col("dst"))).as("m"),
+           count("*").as("deg"))
+      .select(col("id"), col("m.dst").as("to"), col("m.w").as("w"), col("deg"))
 
   /** One pointer jump over labels (id, p): every p becomes p's own label. */
   def jump(p: DataFrame): DataFrame =

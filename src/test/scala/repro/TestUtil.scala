@@ -4,6 +4,7 @@ import scala.collection.mutable
 import scala.util.Random
 import repro.core.LocalGraph
 import repro.core.model._
+import repro.partition.AffinityPartitioner
 
 /** Shared helpers for the test suites: random graph generators, naive
   * reference implementations, and dendrogram/merge replay utilities.
@@ -45,6 +46,16 @@ object TestUtil {
     for (_ <- 0 until extra) add(rng.nextInt(n).toLong, rng.nextInt(n).toLong)
     out.result()
   }
+
+  /** The cluster quotient of an undirected edge list under `cid`: per
+    * ordered cluster pair, the max weight and the number of directed edge
+    * rows — what a TeraHAC round collects before coarsening.
+    */
+  def quotient(edges: Seq[(Long, Long, Double)],
+               cid: Map[Long, Long]): Vector[AffinityPartitioner.QuotientRow] =
+    edges.flatMap { case (u, v, w) => Seq((cid(u), cid(v), w), (cid(v), cid(u), w)) }
+      .groupBy(r => (r._1, r._2)).toVector.map { case ((a, b), rs) =>
+        AffinityPartitioner.QuotientRow(a, b, rs.map(_._3).max, rs.size.toLong) }
 
   /** Naive O(n³) exact average-linkage HAC over an edge list — the
     * reference for ExactHAC. Returns (u, v, newId, sim) merge triples.

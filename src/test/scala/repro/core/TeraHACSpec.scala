@@ -42,6 +42,57 @@ class TeraHACSpec extends SparkSpec {
     }
   }
 
+  private def assertExact(edges: Seq[(Long, Long, Double)], d: Dendrogram): Unit = {
+    val ref = ExactHAC.dendrogram(edges)
+    assert(d.parent.keySet == ref.parent.keySet, "node sets differ")
+    for ((c, (p, s)) <- d.parent) {
+      val (rp, rs) = ref.parent(c)
+      assert(p == rp, s"parent of $c differs")
+      assert(math.abs(s - rs) <= 1e-9 * math.max(s, rs), s"sim of $c")
+    }
+  }
+
+  test("a connected graph whose quotient fits under the cap finishes in one round") {
+    val edges = TestUtil.randomConnectedGraph(40, 80, seed = 51)
+    val cap = 2L * edges.size // every directed edge row fits one group
+    val exact = run(edges, 0.0, 0.0, cap)
+    assert(exact.rounds == 1)
+    assertExact(edges, exact.toLocal)
+    val approx = run(edges, 0.1, 0.0, cap)
+    assert(approx.rounds == 1)
+    val d = approx.toLocal
+    assert(d.numMerges == 39)
+    val ratio = Metrics.empiricalApproxRatio(edges, d)
+    assert(ratio <= 1.1 * (1 + 1e-6), s"ratio=$ratio")
+  }
+
+  /** A clique on `n` vertices with distinct random weights. */
+  private def clique(n: Int, seed: Long): Seq[(Long, Long, Double)] = {
+    val rng = new scala.util.Random(seed)
+    for (u <- 0 until n; v <- u + 1 until n)
+      yield (u.toLong, v.toLong, 0.05 + 0.95 * rng.nextDouble())
+  }
+
+  test("the cap quadruples on stalled rounds until a round merges") {
+    // a pair of K5 vertices carries a load of 8: caps 1 and 4 split every
+    // pair apart, cap 16 does not
+    val edges = clique(5, seed = 61)
+    val res = run(edges, 0.0, 0.0, cap = 1)
+    assert(res.stats.take(3).map(_.merges > 0) == Vector(false, false, true))
+    assertExact(edges, res.toLocal)
+  }
+
+  test("stall and maxRounds aborts name the cap") {
+    // a pair of K10 vertices carries a load of 18, above caps 1, 4 and 16
+    val stall = intercept[IllegalArgumentException](run(clique(10, seed = 62), 0.0, 0.0, cap = 1))
+    assert(stall.getMessage.contains("stalled for 3 rounds at round 3, cap 16; last RoundStat(3,"),
+      stall.getMessage)
+    val short = intercept[IllegalArgumentException](
+      TeraHAC.run(spark, toDF(clique(5, seed = 61)), 0.0, 0.0, maxClusterEdges = 1, maxRounds = 1))
+    assert(short.getMessage.contains("within 1 rounds"), short.getMessage)
+    assert(short.getMessage.contains("cap 4"), short.getMessage)
+  }
+
   test("ε=0 output is invariant to the partitioning (cap)") {
     val edges = TestUtil.randomConnectedGraph(35, 70, seed = 9)
     val a = run(edges, 0.0, 0.0, cap = 32).toLocal
@@ -92,12 +143,17 @@ class TeraHACSpec extends SparkSpec {
   }
 
   /** Round 1 built locally: the affinity partition of `edges` at `cap`,
-    * then [[TeraHAC.runGroup]] on every group's singleton-vertex edges.
+    * coarsened over its quotient as the round does, then
+    * [[TeraHAC.runGroup]] on every group's singleton-vertex edges.
     */
   private def round1Groups(edges: Seq[(Long, Long, Double)], eps: Double,
                            cap: Long): (Map[Long, Long], Vector[SubOut]) = {
-    val cids = AffinityPartitioner.partition(toDF(edges), cap).collect()
+    val level1 = AffinityPartitioner.partition(toDF(edges), cap).collect()
       .map(r => r.getLong(0) -> r.getLong(1)).toMap
+    val quotient = TestUtil.quotient(edges, level1)
+    val group = if (quotient.size > cap) Map.empty[Long, Long]
+                else AffinityPartitioner.coarsen(quotient, cap)
+    val cids = level1.map { case (v, c) => v -> group.getOrElse(c, c) }
     val directed = edges.flatMap { case (u, v, w) => Seq((u, v, w), (v, u, w)) }
     val out = directed.groupBy(e => cids(e._1)).toVector.flatMap { case (c, es) =>
       val ctx = es.map { case (u, v, w) =>

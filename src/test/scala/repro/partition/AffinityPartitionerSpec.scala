@@ -113,4 +113,48 @@ class AffinityPartitionerSpec extends SparkSpec {
         |GROUP BY c.root""".stripMargin,
       "comps" -> comps, "edges" -> e)
   }
+
+  private def q(cid: Long, dstCid: Long, w: Double, rows: Long) =
+    AffinityPartitioner.QuotientRow(cid, dstCid, w, rows)
+
+  test("coarsen: no group's load exceeds the cap unless it is one level-1 cluster") {
+    val edges = TestUtil.randomConnectedGraph(60, 150, seed = 17)
+    val level1 = (0L until 60L).map(v => v -> (v - v % 3)).toMap
+    val quot = TestUtil.quotient(edges, level1)
+    val load = quot.groupBy(_.cid).map { case (c, rs) => c -> rs.map(_.rows).sum }
+    for (cap <- Seq(4L, 10L, 30L, 100L)) {
+      val m = AffinityPartitioner.coarsen(quot, cap)
+      assert(m.keySet == load.keySet)
+      for ((g, members) <- m.groupBy(_._2)) {
+        assert(members.keys.min == g, s"cap=$cap: group $g is not its minimum cid")
+        val l = members.keys.iterator.map(load).sum
+        assert(l <= cap || members.size == 1, s"cap=$cap: group $g has load $l")
+      }
+    }
+    assert(AffinityPartitioner.coarsen(quot, 1L << 20).values.toSet == Set(0L))
+  }
+
+  test("coarsen unions the heaviest cross row first, ties toward smaller cids") {
+    // clusters 1, 2, 3 of load 2 each; a cap of 4 admits one union only
+    def chain(w12: Double, w23: Double) = Seq(
+      q(1, 1, 0.5, 1), q(1, 2, w12, 1), q(2, 1, w12, 1),
+      q(2, 3, w23, 1), q(3, 2, w23, 1), q(3, 3, 0.5, 1))
+    assert(AffinityPartitioner.coarsen(chain(0.9, 0.8), 4) == Map(1L -> 1L, 2L -> 1L, 3L -> 3L))
+    assert(AffinityPartitioner.coarsen(chain(0.8, 0.9), 4) == Map(1L -> 1L, 2L -> 2L, 3L -> 2L))
+    assert(AffinityPartitioner.coarsen(chain(0.8, 0.8), 4) == Map(1L -> 1L, 2L -> 1L, 3L -> 3L))
+  }
+
+  test("coarsen is deterministic") {
+    val edges = TestUtil.randomConnectedGraph(50, 120, seed = 19)
+    val quot = TestUtil.quotient(edges, (0L until 50L).map(v => v -> (v - v % 4)).toMap)
+    val ref = AffinityPartitioner.coarsen(quot, 24)
+    assert(ref.values.toSet.size > 1)
+    for (seed <- 1 to 5)
+      assert(AffinityPartitioner.coarsen(new scala.util.Random(seed).shuffle(quot), 24) == ref)
+  }
+
+  test("coarsen maps a cluster with no cross rows to itself") {
+    val quot = Seq(q(1, 2, 0.9, 3), q(2, 1, 0.9, 3), q(7, 7, 0.95, 4))
+    assert(AffinityPartitioner.coarsen(quot, 100) == Map(1L -> 1L, 2L -> 1L, 7L -> 7L))
+  }
 }
